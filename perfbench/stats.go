@@ -1,0 +1,31 @@
+package main
+
+import "sort"
+
+// quantile returns the q-quantile (0 <= q <= 1) of xs by linear
+// interpolation between order statistics; 0 for an empty slice. xs is not
+// modified.
+func quantile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	pos := q * float64(len(s)-1)
+	lo := int(pos)
+	if lo+1 >= len(s) {
+		return s[len(s)-1]
+	}
+	frac := pos - float64(lo)
+	return s[lo] + frac*(s[lo+1]-s[lo])
+}
+
+func median(xs []float64) float64 { return quantile(xs, 0.5) }
+
+// ratio is a/b, or 0 when b is 0 (a layer the workload does not reach).
+func ratio(a, b float64) float64 {
+	if b == 0 {
+		return 0
+	}
+	return a / b
+}
